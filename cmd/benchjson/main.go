@@ -16,7 +16,9 @@ import (
 	"strings"
 )
 
-// metricKey maps a benchmark unit to a stable JSON field name.
+// metricKey maps a benchmark unit to a stable JSON field name: letters
+// and digits are kept, '%' reads "pct" ("overhead-%" → "overhead_pct") and
+// every other byte becomes '_'.
 func metricKey(unit string) string {
 	switch unit {
 	case "ns/op":
@@ -33,6 +35,8 @@ func metricKey(unit string) string {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
 			b.WriteRune(r)
+		case r == '%':
+			b.WriteString("pct")
 		default:
 			b.WriteByte('_')
 		}

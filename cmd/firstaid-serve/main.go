@@ -141,7 +141,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: fleet.NewServer(f)}
+	srv := newHTTPServer(fleet.NewServer(f))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("firstaid-serve: %s fleet of %d worker(s) on http://%s (dispatch %s)\n",
@@ -186,6 +186,31 @@ func main() {
 		os.Exit(1)
 	}
 	shutdown(srv, f, *poolPath)
+}
+
+// Connection timeouts. A client that opens a connection and never
+// finishes its request headers, or trickles a body, would otherwise hold a
+// server goroutine and a socket forever. The read timers start when a
+// request's first byte arrives, so the time a keep-alive connection sits
+// idle between requests counts only against idleTimeout, which is long
+// enough that closed-loop clients reuse their connections. There is no
+// write timeout: the SSE feeds (/trace/stream, /diagnoses/stream) stream
+// for as long as the client listens, and an event's reply waits for its
+// recovery.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the server the service listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // shutdown stops accepting traffic, drains the fleet, prints its final

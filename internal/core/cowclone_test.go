@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -194,5 +195,36 @@ func BenchmarkMachineCloneGuard(b *testing.B) {
 	b.ReportMetric(speedup, "speedup-x")
 	if speedup < target {
 		b.Fatalf("COW Machine.Clone is %.2fx the deep clone on a 16 MiB heap, want >= %.1fx", speedup, target)
+	}
+}
+
+// TestCloneCostFlatInLogLength pins the replay log's O(1) clone: a
+// speculation clone of a machine with 100k recorded events allocates what
+// one with 1k does. Copying the log would add 48 bytes per recorded event
+// (~4.7 MB per clone at 100k), which the byte comparison cannot miss.
+func TestCloneCostFlatInLogLength(t *testing.T) {
+	const runs = 20
+	measure := func(events int) (allocs, bytes float64) {
+		m := warmCloneMachine(t, events)
+		allocs = testing.AllocsPerRun(runs, func() { m.CloneForSpeculation() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			m.CloneForSpeculation()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(1000)
+	bigAllocs, bigBytes := measure(100000)
+	t.Logf("per clone: 1k events %.0f allocs %.0f B; 100k events %.0f allocs %.0f B",
+		smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if bigAllocs != smallAllocs {
+		t.Errorf("clone allocs grow with log length: %.0f at 1k events, %.0f at 100k", smallAllocs, bigAllocs)
+	}
+	// A little slack for runtime background allocation; the copy this
+	// guards against costs 100x the whole clone.
+	if bigBytes > smallBytes*1.1+1024 {
+		t.Errorf("clone bytes grow with log length: %.0f B at 1k events, %.0f B at 100k", smallBytes, bigBytes)
 	}
 }

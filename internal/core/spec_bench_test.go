@@ -295,22 +295,45 @@ func BenchmarkSpeculativeRecoveryGuard(b *testing.B) {
 // BenchmarkStandbyCloneWarm prices the standby clone: the cost of minting
 // one pre-warmed COW speculation clone from a machine with a warm heap —
 // the cost the supervisor pays at every checkpoint so that recovery
-// launches its first hypothesis at zero clone latency.
+// launches its first hypothesis at zero clone latency. The log-length axis
+// guards the replay log's O(1) clone: both sizes must cost the same.
 func BenchmarkStandbyCloneWarm(b *testing.B) {
-	m := NewMachine(specBench{}, sbLog(), MachineConfig{
+	for _, n := range []struct {
+		name   string
+		events int
+	}{{"events=1k", 1000}, {"events=100k", 100000}} {
+		b.Run(n.name, func(b *testing.B) {
+			m := warmCloneMachine(b, n.events)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c := m.CloneForSpeculation(); c == nil {
+					b.Fatal("clone failed")
+				}
+			}
+		})
+	}
+}
+
+// warmCloneMachine returns a machine whose replay log holds events
+// recorded benign requests, warmed by executing the first 400 of them
+// with checkpoints: a warm heap and a full checkpoint ring, identical for
+// every log length, so the log is the only thing that differs between
+// sizes.
+func warmCloneMachine(tb testing.TB, events int) *Machine {
+	tb.Helper()
+	log := replay.NewLog()
+	for i := 0; i < events; i++ {
+		log.Append("req", "", i)
+	}
+	m := NewMachine(specBench{}, log, MachineConfig{
 		Checkpoint: checkpoint.Config{Keep: sbKeep},
 	})
 	for i := 0; i < 400; i++ {
-		if _, ok := m.Step(); !ok {
-			break
+		if f, ok := m.Step(); !ok || f != nil {
+			tb.Fatalf("warm-up step %d: ok=%v fault=%v", i, ok, f)
 		}
 		m.Ckpt.MaybeCheckpoint()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := m.CloneForSpeculation(); c == nil {
-			b.Fatal("clone failed")
-		}
-	}
+	return m
 }

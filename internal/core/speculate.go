@@ -31,7 +31,9 @@ func (h *specHost) SpawnProbe() stages.ProbeMachine { return h.m.CloneForSpecula
 // TakeStandby implements stages.CloneSource: it surrenders the standby when
 // it was taken at exactly cp. The standby's replay log is a snapshot from
 // clone time; under streaming supervision the parent log has grown since,
-// so it is brought level before handing over.
+// so it is brought level before handing over — a reslice while the two
+// still share the recorded events, a tail copy once the parent's array
+// has moved.
 func (h *specHost) TakeStandby(cp *checkpoint.Checkpoint) stages.ProbeMachine {
 	if h.standby == nil || h.standbyCp != cp {
 		return nil

@@ -139,13 +139,21 @@ func (l *Log) Fence() int { return l.fence - 1 }
 
 // Clone returns an independent log with the same visible events and
 // cursor, for replaying on a forked machine without racing the original.
-// Events beyond the fence are not copied and the clone carries no fence:
-// a clone taken mid-batch is indistinguishable from one taken at the same
-// point of a serial run.
+// Events beyond the fence are not visible to the clone and the clone
+// carries no fence: a clone taken mid-batch is indistinguishable from one
+// taken at the same point of a serial run.
+//
+// Cloning is O(1): the clone shares the parent's event array. Recorded
+// slots are immutable — Append and AppendBatch only write past the tail,
+// and Compact moves the survivors into a fresh array rather than sliding
+// them in place — so the shared prefix never changes under a clone reading
+// it on another goroutine. The clone's capacity is capped at its length,
+// so its own first append reallocates instead of writing into the
+// parent's array.
 func (l *Log) Clone() *Log {
 	vis := l.visTail() - l.base
 	return &Log{
-		events: append([]Event(nil), l.events[:vis]...),
+		events: l.events[:vis:vis],
 		cursor: l.cursor,
 		base:   l.base,
 	}
@@ -158,10 +166,23 @@ func (l *Log) Clone() *Log {
 // src's visible tail is taken: events src has recorded but fenced off are
 // not yet part of the observable recording. src must be a descendant of
 // the same recording (the shared prefix is not re-checked).
+//
+// While this log is still a view of src's event array (src has neither
+// reallocated nor compacted since the clone), catching up is a reslice;
+// otherwise only the missing tail is copied.
 func (l *Log) CatchUp(src *Log) {
-	for seq := l.Len(); seq < src.visTail(); seq++ {
-		l.events = append(l.events, src.At(seq))
+	tail := src.visTail()
+	if l.Len() >= tail {
+		return
 	}
+	end := tail - src.base
+	// l still views src's array when its first slot is src's slot for the
+	// same sequence (src.events[off] exists: l is shorter than src).
+	if off := l.base - src.base; off >= 0 && (len(l.events) == 0 || &l.events[0] == &src.events[off]) {
+		l.events = src.events[off:end:end]
+		return
+	}
+	l.events = append(l.events, src.events[l.Len()-src.base:end]...)
 }
 
 // At returns the event with absolute sequence seq. It panics if seq is
@@ -183,13 +204,13 @@ func (l *Log) Compact(keep int) int {
 	if n <= 0 {
 		return 0
 	}
-	// Slide the tail down in place and zero the vacated slots so the
-	// discarded events' strings (and the arena chunks behind them) become
-	// collectable; re-slicing alone would pin the whole backing array.
-	copy(l.events, l.events[n:])
-	tail := len(l.events) - n
-	clear(l.events[tail:])
-	l.events = l.events[:tail]
+	// Move the survivors into a fresh array sized to them, never sliding
+	// them down in place: clones may share the old array and still read
+	// the discarded prefix. Re-slicing alone would pin the whole old array
+	// (and the arena chunks behind its strings); once no clone references
+	// it, the copy lets it be collected. Sizing from the retained length,
+	// not the old capacity, keeps a long-running log's footprint flat.
+	l.events = append([]Event(nil), l.events[n:]...)
 	l.base = keep
 	return n
 }
